@@ -688,7 +688,7 @@ class CacheAgent:
             )
             # Abort early if the owner is declared failed while we wait; its
             # copies are unreadable (crash) or about to be flushed (ejection).
-            yield self.sim.any_of([call, self._removal_event(owner)])
+            yield from self._call_or_removal(call, owner)
             if not call.triggered:
                 return None
             status, reply = call.value
@@ -742,7 +742,7 @@ class CacheAgent:
                         len(key)),
                     name=f"invrpc:{key}:{sharer}",
                 )
-                yield self.sim.any_of([call, self._removal_event(sharer)])
+                yield from self._call_or_removal(call, sharer)
                 if not call.triggered:
                     return  # sharer declared failed; recovery handles its copies
                 status, reply = call.value
@@ -763,6 +763,18 @@ class CacheAgent:
         except RpcError as exc:
             return ("err", exc)
         return ("ok", value)
+
+    def _call_or_removal(self, call, member: str):
+        """Wait until ``call`` finishes or ``member`` leaves the ring."""
+        removal = self._removal_event(member)
+        wait = self.sim.any_of([call, removal])
+        try:
+            yield wait
+        finally:
+            # The removal event is shared by every wait on ``member`` and
+            # lives until the member leaves; a callback left on it would
+            # pin this wait and its finished call.
+            wait.detach(removal)
 
     def _removal_event(self, member: str):
         """Event fired when ``member`` leaves this agent's ring view."""

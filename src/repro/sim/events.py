@@ -226,6 +226,20 @@ class AnyOf(Event):
                 break
             child.callbacks.append(self._on_child)
 
+    def detach(self, child: Event) -> None:
+        """Stop listening to ``child`` once this wait is over.
+
+        For a long-lived child shared by many waits (say, a "member
+        removed" event), whose callback list would otherwise keep every
+        finished :class:`AnyOf` alive.  Detach only children that cannot
+        fail: a late failure of a detached child is no longer defused.
+        """
+        if not child.processed:
+            try:
+                child.callbacks.remove(self._on_child)
+            except ValueError:
+                pass  # never attached: an earlier child had already fired
+
     def _on_child(self, child: Event) -> None:
         if self.triggered:
             if child.exception is not None:

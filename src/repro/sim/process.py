@@ -43,8 +43,8 @@ class Process(Event):
     simulated condition (for example a process on a failed node).
     """
 
-    __slots__ = ("generator", "daemon", "trace_ctx", "_waiting_on",
-                 "_send", "_throw", "_sleep_token")
+    __slots__ = ("generator", "daemon", "trace_ctx", "trace_lane",
+                 "_waiting_on", "_send", "_throw", "_sleep_token")
 
     def __init__(
         self,
@@ -66,6 +66,8 @@ class Process(Event):
         #: Ambient TraceContext this process runs under (see repro.trace).
         #: Inherited from the spawning process; updated as spans open/close.
         self.trace_ctx = None
+        #: Chrome-export lane id, numbered by the tracer on first use.
+        self.trace_lane = -1
         #: The event this process is currently blocked on, if any.
         self._waiting_on: Optional[Event] = None
         #: Wheel entry of an in-flight raw sleep (see Simulator.sleep).

@@ -123,6 +123,9 @@ class Instrument:
         self.labelnames = tuple(labelnames)
         # Label-value tuple -> child, in first-touch order.
         self._children: dict = {}
+        # (child, *series points) per child, bound by the first sample
+        # that sees the child.
+        self._bound: list = []
 
     def labels(self, **labelvalues):
         """Get or create the child for one label-value combination."""
@@ -150,10 +153,21 @@ class Instrument:
         return [(tuple(zip(self.labelnames, key)), child)
                 for key, child in self._children.items()]
 
+    def _bindings(self, store: TimeSeriesStore) -> list:
+        """``(child, *points)`` per child, binding children added since."""
+        bound = self._bound
+        if len(bound) < len(self._children):
+            for label_pairs, child in self.children()[len(bound):]:
+                bound.append((child, *self._series_points(store, label_pairs)))
+        return bound
+
+    def _series_points(self, store: TimeSeriesStore, label_pairs) -> tuple:
+        return (store.series(self.name, self.kind, label_pairs,
+                             self.help).points,)
+
     def _sample(self, now: float, store: TimeSeriesStore) -> None:
-        for label_pairs, child in self.children():
-            series = store.series(self.name, self.kind, label_pairs, self.help)
-            series.points.append((now, child.current()))
+        for child, points in self._bindings(store):
+            points.append((now, child.current()))
 
 
 class Counter(Instrument):
@@ -185,15 +199,17 @@ class HistogramMetric(Instrument):
         """Shorthand for unlabeled histograms."""
         self.labels().observe(value)
 
-    def _sample(self, now: float, store: TimeSeriesStore) -> None:
+    def _series_points(self, store: TimeSeriesStore, label_pairs) -> tuple:
         # A histogram exports as two counter series, Prometheus-style.
-        for label_pairs, child in self.children():
-            count = store.series(f"{self.name}_count", COUNTER, label_pairs,
-                                 self.help)
-            count.points.append((now, child.count))
-            total = store.series(f"{self.name}_sum", COUNTER, label_pairs,
-                                 self.help)
-            total.points.append((now, child.sum))
+        return (store.series(f"{self.name}_count", COUNTER, label_pairs,
+                             self.help).points,
+                store.series(f"{self.name}_sum", COUNTER, label_pairs,
+                             self.help).points)
+
+    def _sample(self, now: float, store: TimeSeriesStore) -> None:
+        for child, count, total in self._bindings(store):
+            count.append((now, child.count))
+            total.append((now, child.sum))
 
 
 class MetricsRegistry:

@@ -21,18 +21,36 @@ spans open and close, so generator-based protocol code rarely needs to
 thread contexts by hand.  RPC boundaries carry the context explicitly in
 ``Message.trace``; passing ``trace=INHERIT`` at a call site (the default)
 says "attach to whatever operation this process is serving".
+
+Ended spans go to a columnar log, not to a list of objects: typed arrays
+hold the ids, lanes and timestamps, two lists hold the name and category
+strings, and attributes are packed as ``(shape_index, *values)`` tuples
+whose keys live once in an interned table of attribute shapes.  A
+:class:`Span` handle forgets its process and contexts when it ends, so
+once a traced simulation drains, nothing in the tracer reaches a
+process, a generator or a span object.  :attr:`Tracer.spans` is a live,
+read-only view that rebuilds :class:`Span` records from the log on
+demand.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceContext:
-    """Position inside one span tree, carried across process boundaries."""
+    """Position inside one span tree, carried across process boundaries.
+
+    Treat it as a value: one object is shared by its span, the processes
+    running under it and the messages that carry it.  It is not frozen
+    because one is built per span, and a frozen dataclass builds at about
+    a third of the speed.
+    """
 
     trace_id: int
     span_id: int
@@ -50,16 +68,28 @@ class _Inherit:
 #: Pass as ``parent=``/``trace=`` to propagate the ambient TraceContext.
 INHERIT = _Inherit()
 
+#: Log column value for "no parent" (span ids start at 1).
+_NO_PARENT = -1
+#: Packed attributes of a span without any (shape 0 is the empty shape).
+_NO_ATTRS = (0,)
+
 
 class Span:
-    """One timed node of a trace tree.  Usable as a context manager."""
+    """One timed node of a trace tree.  Usable as a context manager.
+
+    While open, a span is a live handle: :meth:`set` adds attributes and
+    :meth:`end` logs it.  Once ended it is a read-only record that no
+    longer references the process that opened it.  Spans compare by
+    value, so a handle equals the record the log rebuilds for it.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
-                 "start_ms", "end_ms", "attrs",
-                 "_tracer", "_process", "_prev_ctx", "tid")
+                 "start_ms", "end_ms", "attrs", "tid",
+                 "_tracer", "_process", "_prev_ctx", "_ctx")
 
     def __init__(self, tracer, trace_id, span_id, parent_id, name,
-                 category, start_ms, attrs):
+                 category, start_ms, attrs, tid, ctx=None, process=None,
+                 prev_ctx=None):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -68,14 +98,18 @@ class Span:
         self.start_ms = start_ms
         self.end_ms: Optional[float] = None
         self.attrs = attrs
-        self.tid = 0
+        self.tid = tid
         self._tracer = tracer
-        self._process = None
-        self._prev_ctx: Optional[TraceContext] = None
+        self._ctx: Optional[TraceContext] = ctx
+        self._process = process
+        self._prev_ctx: Optional[TraceContext] = prev_ctx
 
     @property
     def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id)
+        ctx = self._ctx
+        if ctx is None:
+            ctx = TraceContext(self.trace_id, self.span_id)
+        return ctx
 
     @property
     def duration_ms(self) -> float:
@@ -84,11 +118,15 @@ class Span:
 
     def set(self, key: str, value) -> "Span":
         """Attach/overwrite one attribute (e.g. ``status`` on timeout)."""
+        if self.end_ms is not None:
+            raise RuntimeError(f"{self!r} has ended; its attributes are "
+                               f"already logged")
         self.attrs[key] = value
         return self
 
     def end(self) -> None:
-        self._tracer._end(self)
+        if self.end_ms is None:
+            self._tracer._end(self)
 
     def to_dict(self) -> dict:
         end = self.end_ms if self.end_ms is not None else self.start_ms
@@ -104,6 +142,14 @@ class Span:
             "attrs": self.attrs,
             "tid": self.tid,
         }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self is other or self.to_dict() == other.to_dict()
+
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.span_id))
 
     def __enter__(self) -> "Span":
         return self
@@ -140,11 +186,43 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class SpanView(Sequence):
+    """Live, read-only sequence of a tracer's ended spans.
+
+    ``len()`` reads the log's row count; indexing and iteration rebuild
+    :class:`Span` records from the log, so ``list(tracer.spans)`` takes
+    a snapshot.  Compares equal to any list or tuple of equal spans.
+    """
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer"):
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer._names_col)
+
+    def __getitem__(self, index: int) -> Span:
+        rows = len(self)
+        row = index + rows if index < 0 else index
+        if not 0 <= row < rows:
+            raise IndexError("span index out of range")
+        return self._tracer._record(row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SpanView, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<SpanView of {len(self)} span(s)>"
+
+
 class Tracer:
     """Per-run span collector bound to one :class:`Simulator`.
 
-    Spans are handed out by :meth:`span` (context manager) and recorded
-    in *closure* order once ended; only completed spans are exported.
+    Spans are handed out by :meth:`span` (context manager) and logged in
+    *closure* order once ended; only completed spans are exported.
     ``open_spans()`` exposes whatever is still running — a drained
     simulation must leave it empty.
     """
@@ -153,17 +231,33 @@ class Tracer:
 
     def __init__(self):
         self._sim = None
-        self._finished: list = []
-        # Insertion-ordered registry of spans not yet ended (dict-as-set).
+        # The span log: one row per ended span, in closure order.
+        self._trace_ids_col = array("q")
+        self._span_ids_col = array("q")
+        self._parent_ids_col = array("q")   # _NO_PARENT for roots
+        self._lanes_col = array("q")
+        self._starts_col = array("d")
+        self._ends_col = array("d")
+        self._names_col: list = []
+        self._categories_col: list = []
+        self._attrs_col: list = []          # (shape index, *values)
+        # Attribute key tuples by shape index, and their index lookup.
+        self._shapes: list = [()]
+        self._shape_index: dict = {(): 0}
+        # One shared copy of each span name (many are built by f-string).
+        self._names: dict = {}
+        # Span id -> open span, in opening order.
         self._open: dict = {}
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        # Process -> lane id for Chrome export; assigned by first use so
-        # the numbering is deterministic. Key None = outside any process.
-        self._lanes: dict = {}
-        self._lane_names: dict = {}
+        # Chrome-export lanes, numbered by first use: a process keeps its
+        # lane id in its ``trace_lane`` slot; code outside any process
+        # uses the "driver" lane.
+        self._lane_names: list = []
+        self._driver_lane = -1
         # Context for code running outside any sim process.
         self._ambient: Optional[TraceContext] = None
+        self._view = SpanView(self)
 
     # -- wiring -------------------------------------------------------
 
@@ -196,22 +290,15 @@ class Tracer:
             return parent.context
         raise TypeError(f"not a trace parent: {parent!r}")
 
-    def _set_current(self, ctx: Optional[TraceContext]) -> None:
-        process = self._sim.active_process if self._sim is not None else None
-        if process is not None:
-            process.trace_ctx = ctx
+    def _new_lane(self, process) -> int:
+        """Number the lane of ``process`` (None = driver) on first use."""
+        lane = len(self._lane_names)
+        if process is None:
+            self._lane_names.append("driver")
+            self._driver_lane = lane
         else:
-            self._ambient = ctx
-
-    def _lane_for(self, process) -> int:
-        lane = self._lanes.get(process)
-        if lane is None:
-            lane = len(self._lanes)
-            self._lanes[process] = lane
-            if process is None:
-                self._lane_names[lane] = "driver"
-            else:
-                self._lane_names[lane] = process.name or f"process-{lane}"
+            self._lane_names.append(process.name or f"process-{lane}")
+            process.trace_lane = lane
         return lane
 
     # -- span lifecycle -----------------------------------------------
@@ -219,51 +306,92 @@ class Tracer:
     def span(self, name: str, category: str = "span",
              parent=INHERIT, **attrs) -> Span:
         """Open a span; it becomes the current context until ended."""
-        if self._sim is None:
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("Tracer.span() before bind(): attach the "
                                "tracer via Simulator(tracer=...)")
-        parent_ctx = self.resolve(parent)
+        process = sim.active_process
+        if process is not None:
+            prev_ctx = process.trace_ctx
+            lane = process.trace_lane
+        else:
+            prev_ctx = self._ambient
+            lane = self._driver_lane
+        parent_ctx = prev_ctx if parent is INHERIT else self.resolve(parent)
         if parent_ctx is None:
             trace_id = next(self._trace_ids)
             parent_id = None
         else:
             trace_id = parent_ctx.trace_id
             parent_id = parent_ctx.span_id
-        span = Span(self, trace_id, next(self._span_ids), parent_id,
-                    name, category, self._sim.now, attrs)
-        process = self._sim.active_process
-        span._process = process
-        span._prev_ctx = self.current()
-        span.tid = self._lane_for(process)
-        self._set_current(span.context)
-        self._open[span] = None
+        if lane < 0:
+            lane = self._new_lane(process)
+        span_id = next(self._span_ids)
+        ctx = TraceContext(trace_id, span_id)
+        span = Span(self, trace_id, span_id, parent_id, name, category,
+                    sim.now, attrs, lane, ctx, process, prev_ctx)
+        if process is not None:
+            process.trace_ctx = ctx
+        else:
+            self._ambient = ctx
+        self._open[span_id] = span
         return span
 
     def instant(self, name: str, category: str = "event",
                 parent=INHERIT, **attrs) -> Span:
         """Record a zero-duration event without shifting the context."""
-        if self._sim is None:
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("Tracer.instant() before bind()")
-        parent_ctx = self.resolve(parent)
+        process = sim.active_process
+        if process is not None:
+            lane = process.trace_lane
+            ambient = process.trace_ctx
+        else:
+            lane = self._driver_lane
+            ambient = self._ambient
+        parent_ctx = ambient if parent is INHERIT else self.resolve(parent)
         if parent_ctx is None:
             trace_id = next(self._trace_ids)
             parent_id = None
         else:
             trace_id = parent_ctx.trace_id
             parent_id = parent_ctx.span_id
-        span = Span(self, trace_id, next(self._span_ids), parent_id,
-                    name, category, self._sim.now, attrs)
-        span.tid = self._lane_for(self._sim.active_process)
-        span.end_ms = span.start_ms
-        self._finished.append(span)
+        if lane < 0:
+            lane = self._new_lane(process)
+        span_id = next(self._span_ids)
+        span = Span(self, trace_id, span_id, parent_id, name, category,
+                    sim.now, attrs, lane)
+        self._open[span_id] = span
+        self._end(span)
         return span
 
     def _end(self, span: Span) -> None:
-        if span.end_ms is not None:
-            return
-        span.end_ms = self._sim.now
-        self._open.pop(span, None)
-        self._finished.append(span)
+        """Close ``span``: log it and restore its process's context."""
+        span.end_ms = end_ms = self._sim.now
+        del self._open[span.span_id]
+        self._trace_ids_col.append(span.trace_id)
+        self._span_ids_col.append(span.span_id)
+        parent_id = span.parent_id
+        self._parent_ids_col.append(
+            _NO_PARENT if parent_id is None else parent_id)
+        self._lanes_col.append(span.tid)
+        self._starts_col.append(span.start_ms)
+        self._ends_col.append(end_ms)
+        name = span.name
+        self._names_col.append(self._names.setdefault(name, name))
+        self._categories_col.append(span.category)
+        attrs = span.attrs
+        if attrs:
+            keys = tuple(attrs)
+            shape = self._shape_index.get(keys)
+            if shape is None:
+                shape = len(self._shapes)
+                self._shapes.append(keys)
+                self._shape_index[keys] = shape
+            self._attrs_col.append((shape, *attrs.values()))
+        else:
+            self._attrs_col.append(_NO_ATTRS)
         # Restore the context on whichever process opened the span, but
         # only if that span is still its current context (spans closed
         # out of order keep whatever the inner code installed).
@@ -275,26 +403,40 @@ class Tracer:
                 process.trace_ctx = span._prev_ctx
             else:
                 self._ambient = span._prev_ctx
+        span._process = span._prev_ctx = span._ctx = None
 
     # -- inspection / export ------------------------------------------
 
+    def _record(self, row: int) -> Span:
+        """Rebuild the :class:`Span` record of log row ``row``."""
+        parent_id = self._parent_ids_col[row]
+        packed = self._attrs_col[row]
+        attrs = dict(zip(self._shapes[packed[0]], packed[1:]))
+        span = Span(None, self._trace_ids_col[row], self._span_ids_col[row],
+                    None if parent_id == _NO_PARENT else parent_id,
+                    self._names_col[row], self._categories_col[row],
+                    self._starts_col[row], attrs, self._lanes_col[row])
+        span.end_ms = self._ends_col[row]
+        return span
+
     @property
-    def spans(self) -> list:
-        """Completed spans, in the order they ended."""
-        return list(self._finished)
+    def spans(self) -> SpanView:
+        """Completed spans, in the order they ended (a live view)."""
+        return self._view
 
     def open_spans(self) -> list:
         """Spans begun but not yet ended (should drain to empty)."""
-        return list(self._open)
+        return list(self._open.values())
 
     def lane_names(self) -> dict:
         """Chrome-export lane id -> human-readable process name."""
-        return dict(self._lane_names)
+        return dict(enumerate(self._lane_names))
 
     def to_dicts(self) -> list:
         """Completed spans as JSON-ready dicts, sorted by span id."""
-        return [span.to_dict()
-                for span in sorted(self._finished, key=lambda s: s.span_id)]
+        span_ids = self._span_ids_col
+        rows = sorted(range(len(span_ids)), key=span_ids.__getitem__)
+        return [self._record(row).to_dict() for row in rows]
 
 
 class NullTracer:

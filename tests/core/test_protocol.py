@@ -295,3 +295,20 @@ class TestMemoryAccounting:
         value = do(system.read("node1", "big"))
         assert value == DataItem("huge", size_bytes=4 * MB)
         assert system.agents["node1"].cache.peek("big") is None
+
+
+class TestRemovalWaits:
+    """Waits on a live member's removal event must not pile up on it."""
+
+    def test_removal_event_callbacks_stay_bounded(self, do, concord, key_and_nodes):
+        key, home, n1, n2 = key_and_nodes
+        rounds = 20
+        for round_ in range(rounds):
+            do(concord.read(n1, key))   # n1 becomes owner or sharer
+            do(concord.read(n2, key))   # home fetches from n1 (owner)
+            do(concord.write(n2, key, DataItem(f"v{round_}", size_bytes=64)))
+        agent = concord.agents[home]
+        assert agent.invalidations_sent >= rounds
+        removal = agent._removal_event(n1)
+        assert not removal.triggered
+        assert removal.callbacks == []

@@ -76,3 +76,25 @@ def test_daemon_sampler_does_not_block_completion():
     outcome = sim.run_until_complete(sim.spawn(work(sim)), limit=1000.0)
     assert outcome == "done"
     assert registry.samples >= 4
+
+
+def test_children_added_between_ticks_get_their_own_series():
+    sim, registry = make_sim()
+    gauge = registry.gauge("level", labelnames=("node",))
+    hist = registry.histogram("lat", labelnames=("node",))
+    gauge.labels(node="a").set(1.0)
+    hist.labels(node="a").observe(2.0)
+    registry.sample(0.0)
+    gauge.labels(node="b").set(3.0)
+    hist.labels(node="b").observe(4.0)
+    gauge.labels(node="a").set(5.0)
+    registry.sample(10.0)
+    points = {(s.name, s.labels): s.points
+              for s in registry.store.all_series()}
+    assert [key for key in points] == [
+        ("level", (("node", "a"),)), ("lat_count", (("node", "a"),)),
+        ("lat_sum", (("node", "a"),)), ("level", (("node", "b"),)),
+        ("lat_count", (("node", "b"),)), ("lat_sum", (("node", "b"),))]
+    assert points[("level", (("node", "a"),))] == [(0.0, 1.0), (10.0, 5.0)]
+    assert points[("level", (("node", "b"),))] == [(10.0, 3.0)]
+    assert points[("lat_sum", (("node", "b"),))] == [(10.0, 4.0)]
