@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
 from repro.metrics import AccessStats
@@ -43,7 +43,12 @@ class AccessContext:
     txn_id: Optional[str] = None
 
 
-@dataclass
+#: ``CacheEntry.spec_readers`` of every entry no transaction has read
+#: speculatively: shared and immutable, so a plain entry allocates no set.
+NO_SPEC_READERS: frozenset = frozenset()
+
+
+@dataclass(slots=True)
 class CacheEntry:
     """One cached data item."""
 
@@ -54,8 +59,9 @@ class CacheEntry:
     #: Version number (used by the Faa$T protocol).
     version: int = 0
     #: Transactional speculation marks: process ids that speculatively
-    #: read / wrote this entry (used by repro.txn).
-    spec_readers: set = field(default_factory=set)
+    #: read / wrote this entry (used by repro.txn, which swaps in a
+    #: mutable set on the first speculative read).
+    spec_readers: frozenset | set = NO_SPEC_READERS
     spec_writer: Optional[str] = None
     #: Pinned entries are never evicted (in-flight protocol operations,
     #: buffered speculative writes).

@@ -54,13 +54,24 @@ class ConsistentHashRing:
             raise ValueError("virtual_nodes must be >= 1")
         self.virtual_nodes = virtual_nodes
         self._members: set[str] = set()
-        self._positions: list[int] = []      # sorted virtual-node hashes
-        self._owners: dict[int, str] = {}    # position -> member
+        #: Position -> member while building; the ring is then one sort
+        #: of it instead of one insort per virtual node.
+        owner_of: dict[int, str] = {}
+        for member in members:
+            if member in self._members:
+                continue
+            self._members.add(member)
+            for replica in range(virtual_nodes):
+                # Collisions across members are vanishingly unlikely with
+                # 64-bit positions; last add wins deterministically if one
+                # ever occurs.
+                owner_of[_hash_cached(f"{member}#{replica}")] = member
+        self._positions: list[int] = sorted(owner_of)   # virtual-node hashes
+        #: Member owning each entry of ``_positions`` (parallel list).
+        self._owners: list[str] = [owner_of[p] for p in self._positions]
         #: key -> home memo, invalidated wholesale on membership change
         #: (home() is a pure function of key + membership).
         self._home_cache: dict[str, str] = {}
-        for member in members:
-            self.add(member)
 
     # -- membership -----------------------------------------------------------
     @property
@@ -79,17 +90,15 @@ class ConsistentHashRing:
             return
         self._members.add(member)
         self._home_cache.clear()
+        positions = self._positions
         for replica in range(self.virtual_nodes):
             position = _hash_cached(f"{member}#{replica}")
-            # Collisions across members are vanishingly unlikely with
-            # 64-bit positions; last add wins deterministically if one
-            # ever occurs.
-            index = bisect.bisect_left(self._positions, position)
-            if index < len(self._positions) and self._positions[index] == position:
-                self._owners[position] = member
+            index = bisect.bisect_left(positions, position)
+            if index < len(positions) and positions[index] == position:
+                self._owners[index] = member
                 continue
-            self._positions.insert(index, position)
-            self._owners[position] = member
+            positions.insert(index, position)
+            self._owners.insert(index, member)
 
     def remove(self, member: str) -> None:
         """Remove ``member``; idempotent on a non-empty ring.
@@ -105,17 +114,24 @@ class ConsistentHashRing:
             return
         self._members.remove(member)
         self._home_cache.clear()
+        positions = self._positions
         for replica in range(self.virtual_nodes):
             position = _hash_cached(f"{member}#{replica}")
-            if self._owners.get(position) == member:
-                index = bisect.bisect_left(self._positions, position)
-                if index < len(self._positions) and self._positions[index] == position:
-                    self._positions.pop(index)
-                del self._owners[position]
+            index = bisect.bisect_left(positions, position)
+            if (index < len(positions) and positions[index] == position
+                    and self._owners[index] == member):
+                positions.pop(index)
+                self._owners.pop(index)
 
     def copy(self) -> "ConsistentHashRing":
-        """An independent ring with the same members."""
-        return ConsistentHashRing(self._members, self.virtual_nodes)
+        """An independent ring with the same members (no re-hashing)."""
+        clone = ConsistentHashRing.__new__(ConsistentHashRing)
+        clone.virtual_nodes = self.virtual_nodes
+        clone._members = set(self._members)
+        clone._positions = list(self._positions)
+        clone._owners = list(self._owners)
+        clone._home_cache = {}
+        return clone
 
     def with_members(self, members: Iterable[str]) -> "ConsistentHashRing":
         """A new ring over ``members`` with this ring's parameters.
@@ -138,7 +154,7 @@ class ConsistentHashRing:
         index = bisect.bisect_right(self._positions, position)
         if index == len(self._positions):
             index = 0  # wrap around the ring
-        member = self._owners[self._positions[index]]
+        member = self._owners[index]
         self._home_cache[key] = member
         return member
 
@@ -160,7 +176,7 @@ class ConsistentHashRing:
         seen: set[str] = set()
         count = len(self._positions)
         for step in range(count):
-            owner = self._owners[self._positions[(index + step) % count]]
+            owner = self._owners[(index + step) % count]
             if owner not in seen:
                 seen.add(owner)
                 chain.append(owner)

@@ -55,6 +55,10 @@ class FaultInjector:
         platform: Optional["FaasPlatform"] = None,
         fail_fast: bool = True,
     ):
+        unknown = sorted(plan.node_ids() - set(cluster.node_ids))
+        if unknown:
+            raise ValueError(
+                f"fault plan names nodes outside the cluster: {unknown}")
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan

@@ -153,6 +153,20 @@ class FaultPlan:
         """Event kind names in schedule order (test/telemetry comparisons)."""
         return [event.kind for event in self.events]
 
+    def node_ids(self) -> set[str]:
+        """Every node id the events name (``RegionPartition`` names none)."""
+        named: set[str] = set()
+        for event in self.events:
+            if isinstance(event, (NodeCrash, NodeRestart)):
+                named.add(event.node)
+            elif isinstance(event, NetworkPartition):
+                for group in event.groups:
+                    named.update(group)
+            elif isinstance(event, (MessageDrop, MessageDelay)):
+                named.update(node for node in (event.src, event.dst)
+                             if node is not None)
+        return named
+
     # -- serialization (CI artifacts, replay) ---------------------------
     def to_json(self, indent: int = 2) -> str:
         payload = {

@@ -152,7 +152,10 @@ class AccessStats:
 
     def record(self, kind: OpKind, latency_ms: float) -> None:
         self.ops[kind] = self.ops.get(kind, 0) + 1
-        self.latency.setdefault(kind, Histogram()).record(latency_ms)
+        histogram = self.latency.get(kind)
+        if histogram is None:
+            histogram = self.latency[kind] = Histogram()
+        histogram.record(latency_ms)
 
     def count(self, kind: OpKind) -> int:
         return self.ops.get(kind, 0)

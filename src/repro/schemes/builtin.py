@@ -51,15 +51,14 @@ def build_faast(cluster, coord, app, *, capacity=None,
     read_only = set()
     if read_only_annotations:
         from repro.workloads import ALL_PROFILES
-        from repro.workloads.distributions import is_read_only
-        from repro.workloads.profiles import entity_key
+        from repro.workloads.profiles import key_table
 
         profile = ALL_PROFILES[app]
         read_only = {
-            entity_key(app, e, i)
-            for e in range(profile.entities)
-            for i in range(profile.items_per_entity)
-            if is_read_only(entity_key(app, e, i))
+            key
+            for rows in key_table(profile).entities[:profile.entities]
+            for key, is_read_only, _size in rows
+            if is_read_only
         }
     return FaastSystem(
         cluster, app=app,

@@ -26,7 +26,14 @@ class Resource:
     holder must later call ``release()`` exactly once per grant.  Use
     :meth:`cancel` to withdraw a not-yet-granted request (e.g. after a
     timeout won a race against the grant).
+
+    Per-key locks make this the most numerous object in a large run (one
+    per key an agent ever serialized), so it is slotted and keeps no idle
+    state: the waiter queue exists only once a request has had to wait,
+    and a grant event's name is built only when a grant event is made.
     """
+
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -34,11 +41,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        # acquire() runs tens of thousands of times per benchmark; the
-        # grant-event name is interned once here instead of per call.
-        self._grant_name = "acquire:" + name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: FIFO of pending grants; None until the first contended request.
+        self._waiters: Optional[deque[Event]] = None
 
     @property
     def in_use(self) -> int:
@@ -48,7 +53,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     @property
     def available(self) -> int:
@@ -72,7 +77,7 @@ class Resource:
         registry.gauge(
             f"{prefix}_queue_length", "Requests waiting for a slot.",
             labelnames=labelnames,
-        ).set_callback(lambda: len(self._waiters), **labels)
+        ).set_callback(lambda: self.queue_length, **labels)
         registry.gauge(
             f"{prefix}_utilization", "Granted slots / capacity.",
             labelnames=labelnames,
@@ -80,12 +85,12 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event fires when granted."""
-        grant = Event(self.sim, name=self._grant_name)
+        grant = Event(self.sim, name="acquire:" + self.name)
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed()
         else:
-            self._waiters.append(grant)
+            self._enqueue(grant)
         return grant
 
     def acquire_wait(self):
@@ -107,19 +112,25 @@ class Resource:
             token[4] = token
             process._sleep_token = token
             return RAW_WAIT
-        grant = Event(self.sim, name=self._grant_name)
-        self._waiters.append(grant)
+        grant = Event(self.sim, name="acquire:" + self.name)
+        self._enqueue(grant)
         return grant
+
+    def _enqueue(self, grant: Event) -> None:
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
+        waiters.append(grant)
 
     def cancel(self, grant: Event) -> None:
         """Withdraw a pending request, or release an already-granted one."""
         if grant.triggered:
             self.release()
             return
-        try:
-            self._waiters.remove(grant)
-        except ValueError:
-            raise SimulationError("cancel() of a request not waiting here") from None
+        waiters = self._waiters
+        if waiters is None or grant not in waiters:
+            raise SimulationError("cancel() of a request not waiting here")
+        waiters.remove(grant)
 
     def release(self) -> None:
         """Return a slot, granting it to the oldest waiter if any."""

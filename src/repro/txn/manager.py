@@ -23,7 +23,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.caching.base import AccessContext, CacheEntry, EXCLUSIVE
+from repro.caching.base import (
+    EXCLUSIVE,
+    NO_SPEC_READERS,
+    AccessContext,
+    CacheEntry,
+)
 from repro.net.sizes import sizeof
 from repro.sim.resources import Resource
 
@@ -34,6 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class TxnAborted(Exception):
     """The transaction was squashed by a conflicting access."""
+
+
+def _mark_reader(entry: CacheEntry, txn_id: str) -> None:
+    """Record a speculative read; the entry's first one allocates its set."""
+    if entry.spec_readers is NO_SPEC_READERS:
+        entry.spec_readers = {txn_id}
+    else:
+        entry.spec_readers.add(txn_id)
+
+
+def _unmark_reader(entry: CacheEntry, txn_id: str) -> None:
+    """Drop a speculative read mark; the last one frees the entry's set."""
+    readers = entry.spec_readers
+    if txn_id in readers:
+        readers.remove(txn_id)
+        if not readers:
+            entry.spec_readers = NO_SPEC_READERS
 
 
 @dataclass
@@ -112,11 +134,13 @@ class LocalTxnManager:
             # Write to data speculatively read by other transactions.
             for txn_id in sorted(entry.spec_readers - {accessor}):
                 self._squash(txn_id, reason=f"local write to {key}")
-            entry.spec_readers &= {accessor} if accessor else set()
+            entry.spec_readers = (
+                {accessor} if accessor in entry.spec_readers
+                else NO_SPEC_READERS)
         if accessor is not None and accessor in self.active and not is_write:
             txn = self.active[accessor]
             txn.read_set.add(key)
-            entry.spec_readers.add(accessor)
+            _mark_reader(entry, accessor)
             entry.pinned = True  # keep it resident so conflicts reach us
         return True
 
@@ -125,7 +149,7 @@ class LocalTxnManager:
         accessor = getattr(ctx, "txn_id", None) if ctx is not None else None
         if accessor is not None and accessor in self.active:
             self.active[accessor].read_set.add(key)
-            entry.spec_readers.add(accessor)
+            _mark_reader(entry, accessor)
             entry.pinned = True
 
     def on_replace(self, key, entry: CacheEntry, ctx) -> None:
@@ -169,7 +193,7 @@ class LocalTxnManager:
         for key in sorted(txn.read_set):
             entry = cache.peek(key)
             if entry is not None:
-                entry.spec_readers.discard(txn.txn_id)
+                _unmark_reader(entry, txn.txn_id)
                 if not entry.speculative:
                     entry.pinned = False
 
@@ -314,7 +338,7 @@ class ConcordTxnRuntime:
             for key in sorted(txn.read_set):
                 entry = agent.cache.peek(key)
                 if entry is not None:
-                    entry.spec_readers.discard(txn.txn_id)
+                    _unmark_reader(entry, txn.txn_id)
                     entry.pinned = entry.speculative
             # Flush all buffered writes concurrently: they are independent
             # E-state updates, so the commit costs ~one storage round trip

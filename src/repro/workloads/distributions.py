@@ -72,26 +72,14 @@ class SizeSampler:
         for size, weight in buckets:
             acc += weight / total
             self._cdf.append((acc, int(size * scale)))
-        #: key -> size memo: sizes are a pure function of the key (md5),
-        #: so caching can never change a result, only skip the hash.
-        self._memo: dict = {}
 
     def size_of(self, key: str) -> int:
-        size = self._memo.get(key)
-        if size is None:
-            point = int.from_bytes(
-                hashlib.md5(key.encode()).digest()[:4], "big") / 2 ** 32
-            size = self._cdf[-1][1]
-            for threshold, bucket_size in self._cdf:
-                if point <= threshold:
-                    size = bucket_size
-                    break
-            self._memo[key] = size
-        return size
-
-
-#: key -> md5 point memo for is_read_only (pure function of the key).
-_RO_POINTS: dict = {}
+        point = int.from_bytes(
+            hashlib.md5(key.encode()).digest()[:4], "big") / 2 ** 32
+        for threshold, bucket_size in self._cdf:
+            if point <= threshold:
+                return bucket_size
+        return self._cdf[-1][1]
 
 
 def is_read_only(key: str, fraction: float = 0.05) -> bool:
@@ -99,9 +87,6 @@ def is_read_only(key: str, fraction: float = 0.05) -> bool:
 
     The paper reports 5 % of objects in the Azure traces are read-only.
     """
-    point = _RO_POINTS.get(key)
-    if point is None:
-        point = int.from_bytes(
-            hashlib.md5(f"ro:{key}".encode()).digest()[:4], "big") / 2 ** 32
-        _RO_POINTS[key] = point
+    point = int.from_bytes(
+        hashlib.md5(f"ro:{key}".encode()).digest()[:4], "big") / 2 ** 32
     return point < fraction

@@ -16,7 +16,7 @@ handlers generate that pattern:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import KB
@@ -99,18 +99,72 @@ def global_key(app: str, index: int) -> str:
     return f"{app}:g{index}"
 
 
-def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler):
-    """Build the handler generator-function for workflow step ``stage``.
+class KeyTable:
+    """Every ``(key, read_only, size)`` row one application touches.
 
     All key strings, read-only flags and item sizes are pure functions of
-    the profile, so they are precompiled into lookup tables here instead
-    of being re-derived (f-strings + md5 hashes) on every invocation.
+    the profile, so they are precompiled here once per profile (see
+    :func:`key_table`) instead of being re-derived (f-strings + md5
+    hashes) on every invocation, or once per workflow stage.  Every
+    stage's handler and the storage preload share the rows, so each key
+    is hashed once and exists as one string.
+    """
+
+    __slots__ = ("profile", "sizes", "entities", "globals", "handoffs",
+                 "global_sampler")
+
+    def __init__(self, profile: AppProfile):
+        self.profile = profile
+        self.sizes = SizeSampler(scale=profile.size_scale)
+        #: entity -> its ``items_per_entity`` item rows.
+        self.entities: list[list[tuple[str, bool, int]]] = []
+        #: app-global item rows, by index.
+        self.globals = [self._row(global_key(profile.name, index))
+                        for index in range(profile.global_items)]
+        #: stage -> entity -> ``(key, size)`` of the hand-off blob that
+        #: stage writes and the next stage reads (no row for the last).
+        self.handoffs: list[list[tuple[str, int]]] = [
+            [] for _ in range(profile.functions - 1)]
+        #: Popularity of the app-global items.
+        self.global_sampler = ZipfSampler(profile.global_items, alpha=1.0)
+        self.grow(profile.entities)
+
+    def _row(self, key: str) -> tuple[str, bool, int]:
+        return key, is_read_only(key), self.sizes.size_of(key)
+
+    def grow(self, entities: int) -> None:
+        """Extend the per-entity rows to cover ``entities`` entities."""
+        app = self.profile.name
+        size_of = self.sizes.size_of
+        while len(self.entities) < entities:
+            entity = len(self.entities)
+            self.entities.append(
+                [self._row(entity_key(app, entity, item))
+                 for item in range(self.profile.items_per_entity)])
+            for stage, rows in enumerate(self.handoffs):
+                key = handoff_key(app, entity, stage)
+                rows.append((key, size_of(key)))
+
+
+_KEY_TABLES: dict[AppProfile, KeyTable] = {}
+
+
+def key_table(profile: AppProfile) -> KeyTable:
+    """The profile's shared :class:`KeyTable`, built on first use."""
+    table = _KEY_TABLES.get(profile)
+    if table is None:
+        table = _KEY_TABLES[profile] = KeyTable(profile)
+    return table
+
+
+def _make_handler(profile: AppProfile, stage: int, table: KeyTable):
+    """Build the handler generator-function for workflow step ``stage``.
+
     The RNG draw sequence inside the handler is exactly the one the
     non-tabled version made — same calls, same order — so workloads are
     byte-identical.
     """
     app = profile.name
-    last_stage = profile.functions - 1
     per_op_compute = profile.compute_ms / max(1, profile.reads_per_fn + 2)
     tail_compute = 2 * per_op_compute
     reads_per_fn = profile.reads_per_fn
@@ -120,56 +174,28 @@ def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler):
     write_prob = profile.write_prob
     items_per_entity = profile.items_per_entity
     stream_name = f"wl:{app}"
-    zipf_globals = _globals_sampler(profile)
-
-    # (key, read_only, size) per entity item / app-global item, plus the
-    # hand-off keys and sizes this stage touches.
-    entity_items = [
-        [(key, is_read_only(key), sizes.size_of(key))
-         for item in range(items_per_entity)
-         for key in (entity_key(app, entity, item),)]
-        for entity in range(profile.entities)
-    ]
-    global_items = [
-        (key, is_read_only(key), sizes.size_of(key))
-        for index in range(profile.global_items)
-        for key in (global_key(app, index),)
-    ]
-    handoff_in = ([handoff_key(app, entity, stage - 1)
-                   for entity in range(profile.entities)]
-                  if stage > 0 else None)
-    handoff_out = ([(key, sizes.size_of(key))
-                    for entity in range(profile.entities)
-                    for key in (handoff_key(app, entity, stage),)]
-                   if stage < last_stage else None)
-
-    def _fill_rows(entity: int) -> None:
-        # Out-of-profile entity id (callers may inject arbitrary inputs):
-        # extend every table on demand, exactly as they were built above.
-        if entity < 0:
-            raise ValueError(f"negative entity id {entity} for app {app!r}")
-        while len(entity_items) <= entity:
-            missing = len(entity_items)
-            entity_items.append(
-                [(key, is_read_only(key), sizes.size_of(key))
-                 for item in range(items_per_entity)
-                 for key in (entity_key(app, missing, item),)])
-            if handoff_in is not None:
-                handoff_in.append(handoff_key(app, missing, stage - 1))
-            if handoff_out is not None:
-                key = handoff_key(app, missing, stage)
-                handoff_out.append((key, sizes.size_of(key)))
+    zipf_globals = table.global_sampler
+    entity_items = table.entities
+    global_items = table.globals
+    handoff_in = table.handoffs[stage - 1] if stage > 0 else None
+    handoff_out = (table.handoffs[stage]
+                   if stage < len(table.handoffs) else None)
 
     def handler(ctx):
         rng = ctx.sim.rng.stream(stream_name)
         rng_random = rng.random
         entity = int(ctx.inputs.get("entity", 0))
         if not 0 <= entity < len(entity_items):
-            _fill_rows(entity)
+            # Out-of-profile entity id (callers may inject arbitrary
+            # inputs): extend the shared table on demand.
+            if entity < 0:
+                raise ValueError(
+                    f"negative entity id {entity} for app {app!r}")
+            table.grow(entity + 1)
         my_items = entity_items[entity]
 
         if handoff_in is not None:
-            yield from ctx.read(handoff_in[entity])
+            yield from ctx.read(handoff_in[entity][0])
         for _ in range(reads_per_fn):
             yield from ctx.compute(per_op_compute)
             if rng_random() < global_read_fraction:
@@ -200,40 +226,27 @@ def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler):
     return handler
 
 
-_GLOBAL_SAMPLERS: dict[str, ZipfSampler] = {}
-
-
-def _globals_sampler(profile: AppProfile) -> ZipfSampler:
-    sampler = _GLOBAL_SAMPLERS.get(profile.name)
-    if sampler is None:
-        sampler = ZipfSampler(profile.global_items, alpha=1.0)
-        _GLOBAL_SAMPLERS[profile.name] = sampler
-    return sampler
-
-
 def build_app(profile: AppProfile) -> AppSpec:
     """Turn a profile into a deployable application."""
-    sizes = SizeSampler(scale=profile.size_scale)
+    table = key_table(profile)
     spec = AppSpec(name=profile.name)
     for stage in range(profile.functions):
         spec.add_function(FunctionSpec(
             name=f"{profile.name}-f{stage}",
-            handler=_make_handler(profile, stage, sizes),
+            handler=_make_handler(profile, stage, table),
         ))
     return spec
 
 
 def working_set(profile: AppProfile) -> dict:
     """The app's initial key -> DataItem working set."""
-    sizes = SizeSampler(scale=profile.size_scale)
+    table = key_table(profile)
     items = {}
-    for entity in range(profile.entities):
-        for item in range(profile.items_per_entity):
-            key = entity_key(profile.name, entity, item)
-            items[key] = DataItem((key, 0), sizes.size_of(key))
-    for index in range(profile.global_items):
-        key = global_key(profile.name, index)
-        items[key] = DataItem((key, 0), sizes.size_of(key))
+    for rows in table.entities[:profile.entities]:
+        for key, _read_only, size in rows:
+            items[key] = DataItem((key, 0), size)
+    for key, _read_only, size in table.globals:
+        items[key] = DataItem((key, 0), size)
     return items
 
 

@@ -202,3 +202,54 @@ def test_remove_add_round_trip_property(members, leaver_index, keys):
     ring.add(leaver)
     assert {k: ring.home(k) for k in keys} == before
     assert ring.members == set(members)
+
+
+def incremental_ring(members, virtual_nodes=64) -> ConsistentHashRing:
+    """A ring grown one ``add()`` (one insort per virtual node) at a time."""
+    ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
+    for member in members:
+        ring.add(member)
+    return ring
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    members=st.lists(st.sampled_from(MEMBERS + ["x", "y", "z"]), max_size=12),
+    virtual_nodes=st.integers(min_value=1, max_value=96),
+    keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=30),
+    n=st.integers(min_value=1, max_value=5),
+)
+def test_batch_build_equals_incremental_adds_property(
+        members, virtual_nodes, keys, n):
+    """The constructor's one-sort build is the ring ``add()`` grows."""
+    batch = ConsistentHashRing(members, virtual_nodes)
+    grown = incremental_ring(members, virtual_nodes)
+    assert batch._positions == grown._positions
+    assert batch._owners == grown._owners
+    assert batch.members == grown.members
+    if not members:
+        return
+    for key in keys:
+        assert batch.home(key) == grown.home(key)
+        assert batch.preference_list(key, n) == grown.preference_list(key, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    members=st.sets(st.sampled_from(MEMBERS), min_size=2),
+    leaver_index=st.integers(min_value=0, max_value=7),
+    keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=30),
+)
+def test_mutating_a_copy_leaves_its_source_unchanged_property(
+        members, leaver_index, keys):
+    ring = ConsistentHashRing(members)
+    before = ([ring.home(k) for k in keys], list(ring._positions),
+              list(ring._owners), ring.members)
+    clone = ring.copy()
+    leaver = sorted(members)[leaver_index % len(members)]
+    clone.remove(leaver)
+    clone.add("joiner")
+    assert clone.members == members - {leaver} | {"joiner"}
+    assert ([ring.home(k) for k in keys], ring._positions, ring._owners,
+            ring.members) == before
+

@@ -230,3 +230,39 @@ class TestBookkeeping:
         }
         assert samples["NodeCrash"] == 1
         assert samples["MessageDrop"] == 0
+
+
+class TestUnknownNodes:
+    """A plan naming nodes outside the cluster fails at construction.
+
+    Regression: the injector used to accept such a plan; its daemon then
+    died on the first unknown node and the run looked clean (no events
+    applied, no violations).
+    """
+
+    def test_scenario_with_unknown_crash_node_raises(self):
+        from repro.faults import run_fault_scenario
+
+        plan = FaultPlan([NodeCrash(at_ms=500.0, node="node9")])
+        with pytest.raises(ValueError, match="node9"):
+            run_fault_scenario(plan, seed=1, num_nodes=3, duration_ms=1500.0,
+                               rps=10)
+
+    @pytest.mark.parametrize("event", [
+        NodeRestart(at_ms=1.0, node="ghost"),
+        NetworkPartition(at_ms=1.0, duration_ms=5.0,
+                         groups=(("node0",), ("ghost",))),
+        MessageDrop(at_ms=1.0, duration_ms=5.0, src="ghost"),
+        MessageDelay(at_ms=1.0, duration_ms=5.0, dst="ghost"),
+    ])
+    def test_every_node_naming_event_is_checked(self, cluster, event):
+        with pytest.raises(ValueError, match="ghost"):
+            FaultInjector(cluster, FaultPlan(events=(event,)))
+
+    def test_known_nodes_and_wildcards_pass(self, cluster):
+        FaultInjector(cluster, FaultPlan(events=(
+            NodeCrash(at_ms=1.0, node="node3"),
+            MessageDrop(at_ms=1.0, duration_ms=5.0),
+            StorageBrownout(at_ms=1.0, duration_ms=5.0),
+        )))
+

@@ -133,6 +133,23 @@ class TestHistogram:
 
 
 class TestAccessStats:
+    def test_record_builds_one_histogram_per_kind(self, monkeypatch):
+        import repro.metrics.stats as stats_module
+
+        built = []
+
+        class CountingHistogram(Histogram):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(stats_module, "Histogram", CountingHistogram)
+        stats = AccessStats()
+        stats.record(OpKind.WRITE_MISS, 1.0)
+        stats.record(OpKind.WRITE_MISS, 2.0)
+        assert len(built) == 1
+        assert stats.latency[OpKind.WRITE_MISS].count == 2
+
     def test_record_and_count(self):
         stats = AccessStats()
         stats.record(OpKind.LOCAL_READ_HIT, 1.6)
