@@ -7,7 +7,8 @@ For the given seed this script:
    drop/delay + storage brownout) over a 6-node cluster,
 2. runs the canonical fault scenario twice in-process and compares the
    full outcome fingerprint (request counts, failure declarations,
-   recovery count, injector log, coherence verdict, telemetry bytes),
+   recovery count, injector log, coherence verdict, telemetry bytes,
+   daemon failures),
 3. re-runs the scenario in subprocesses under PYTHONHASHSEED=0 and =1
    and byte-compares the telemetry exports,
 4. asserts the run ends coherent (zero invariant violations) with every
@@ -176,7 +177,11 @@ def check_seed(seed: int, skip_subprocess: bool,
     print(f"[seed {seed}/{topology}/{scheme}] completed={first.completed} "
           f"failures_detected={len(first.failures_detected)} "
           f"recoveries={first.recoveries_completed} "
-          f"violations={len(first.violations)} -> {status}")
+          f"violations={len(first.violations)} "
+          f"daemon_failures={len(first.daemon_failures)} -> {status}")
+    # Reported, not gated: a dead daemon does not fail the cell yet.
+    for name, error in first.daemon_failures:
+        print(f"  daemon failure: {name} ({error})")
     return problems, first.obs_jsonl
 
 

@@ -1,9 +1,8 @@
 """Benchmark suites: named collections of :class:`JobSpec`.
 
-The ``tier1`` suite is the CI perf gate — the two fixed-seed simulator
-points that ``scripts/perf_smoke.py`` has always timed, now expressed as
-bench jobs so their wall times and simulated counters flow through the
-journal and the regression gate:
+The ``tier1`` suite is the CI perf gate — fixed-seed simulator points
+expressed as bench jobs, so their wall times and simulated counters
+flow through the journal and the regression gate:
 
 * ``fig08_point`` — one throughput grid point (8 nodes, mixed apps,
   near the SLO knee): the protocol + FaaS fast path.
@@ -126,20 +125,14 @@ def scale_point(seed: int = DEFAULT_SEED, num_nodes: int = 100,
     minute.  Reduced-scale variants (the keyword arguments) back the
     cross-``PYTHONHASHSEED`` byte-identity test.
     """
-    from repro.cluster import Cluster
-    from repro.config import SimConfig
-    from repro.coord import CoordinationService
-    from repro.schemes import build_scheme
-    from repro.sim import Simulator
+    from repro.session import Session
     from repro.storage import DataItem
 
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=num_nodes, cores_per_node=2))
-    coord = CoordinationService(cluster.network, cluster.config)
-    system = build_scheme("concord", cluster, coord, "scale")
+    session = Session(nodes=num_nodes, cores_per_node=2, seed=seed,
+                      app="scale")
+    sim, system = session.sim, session.system
     keys = [f"scale-{index}" for index in range(working_set)]
-    cluster.storage.preload(
-        {key: DataItem("v", size_bytes=1024) for key in keys})
+    session.preload({key: DataItem("v", size_bytes=1024) for key in keys})
 
     completed = [0]
 
@@ -151,7 +144,7 @@ def scale_point(seed: int = DEFAULT_SEED, num_nodes: int = 100,
     drivers = [
         sim.spawn(driver(node_id, requests_per_node, position * 7),
                   name="scale-driver")
-        for position, node_id in enumerate(cluster.node_ids)
+        for position, node_id in enumerate(session.cluster.node_ids)
     ]
     remaining = [len(drivers)]
     finished_ms = [0.0]

@@ -6,39 +6,28 @@ Paper: a local hit takes 1.6 ms, a remote hit 3.1 ms and a remote miss
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
-from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 
 
 def run(scale: float = 1.0, seed: int = 131) -> ExperimentResult:
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
-    coord = CoordinationService(cluster.network, cluster.config)
-    concord = build_scheme("concord", cluster, coord, "char")
-
-    def op(gen):
-        return sim.run_until_complete(sim.spawn(gen), limit=sim.now + 60_000.0)
+    session = Session(nodes=4, cores_per_node=20, seed=seed, app="char")
+    concord = session.system
 
     def timed(gen):
-        start = sim.now
-        op(gen)
-        return sim.now - start
+        return session.run(gen).duration_ms
 
     key = "char-item"
-    cluster.storage.preload({key: DataItem("v", size_bytes=4 * 1024)})
+    session.preload({key: DataItem("v", size_bytes=4 * 1024)})
     home = concord.ring_template.home(key)
-    others = [n for n in cluster.node_ids if n != home]
+    others = [n for n in session.cluster.node_ids if n != home]
 
     # Remote miss: first touch from a non-home node (no directory entry).
     remote_miss = timed(concord.read(others[0], key))
     # Warm the home's own cache (downgrades the first reader to Shared)
     # so the next remote read is the common Shared-state serve.
-    op(concord.read(home, key))
+    session.run(concord.read(home, key))
     remote_hit = timed(concord.read(others[1], key))
     # Local hit: read again where it is now cached.
     local_hit = timed(concord.read(others[1], key))

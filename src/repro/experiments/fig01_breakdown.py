@@ -12,13 +12,10 @@ cross-validate each other.
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
 from repro.experiments.tables import ExperimentResult
 from repro.faas import FaasPlatform
 from repro.schemes import build_scheme
-from repro.sim import Simulator
-from repro.trace import Tracer
+from repro.session import Session
 from repro.trace.summary import per_app_requests
 from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
 from repro.workloads.profiles import preload_storage
@@ -27,9 +24,8 @@ from repro.workloads.profiles import preload_storage
 def run(scale: float = 1.0, seed: int = 101) -> ExperimentResult:
     """Measure each app's storage share on an unloaded cache-less cluster."""
     requests = max(4, int(20 * scale))
-    tracer = Tracer()
-    sim = Simulator(seed=seed, tracer=tracer)
-    cluster = Cluster(sim, SimConfig(num_nodes=4, cores_per_node=8))
+    session = Session(nodes=4, seed=seed, scheme=None, trace=True)
+    cluster = session.cluster
     platform = FaasPlatform(cluster)
 
     result = ExperimentResult(
@@ -45,12 +41,10 @@ def run(scale: float = 1.0, seed: int = 101) -> ExperimentResult:
         preload_storage(cluster.storage, profile)
         app = platform.deploy(build_app(profile),
                               build_scheme("nocache", cluster))
-        factory = entity_inputs_factory(profile, sim)
+        factory = entity_inputs_factory(profile, session.sim)
         for index in range(requests):
-            sim.run_until_complete(
-                sim.spawn(platform.request(name, factory(index))),
-                limit=sim.now + 600_000.0,
-            )
+            session.run(platform.request(name, factory(index)),
+                        limit_ms=600_000.0)
         fraction = app.storage_fraction
         fractions.append(fraction)
         result.data.append({
@@ -63,7 +57,7 @@ def run(scale: float = 1.0, seed: int = 101) -> ExperimentResult:
     # Cross-check: re-derive the breakdown from the causal trace.  The
     # ``op`` spans bracket exactly the interval the invocation context
     # charges to storage_ms, so counters and spans must agree.
-    traced = per_app_requests(tracer.to_dicts())
+    traced = per_app_requests(session.tracer.to_dicts())
     trace_pcts = []
     for row in result.data:
         summary = traced[row["app"]]

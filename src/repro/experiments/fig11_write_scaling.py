@@ -9,12 +9,8 @@ a Faa$T *local read hit* costs a version round trip (3.8 ms vs Concord's
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
-from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 
 NODE_COUNTS = (1, 2, 4, 8, 16, 24, 30)
@@ -22,38 +18,29 @@ NODE_COUNTS = (1, 2, 4, 8, 16, 24, 30)
 
 def _measure(system_name: str, num_nodes: int, seed: int) -> tuple:
     """Returns (write_ms, read_hit_ms) for one system at one scale."""
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=num_nodes))
+    session = Session(nodes=num_nodes, cores_per_node=20, seed=seed,
+                      scheme=system_name, app="bench")
+    system = session.system
     key = "shared-item"
-    cluster.storage.preload({key: DataItem("v0", size_bytes=8 * 1024)})
-
-    if system_name == "concord":
-        coord = CoordinationService(cluster.network, cluster.config)
-        system = build_scheme("concord", cluster, coord, "bench")
-    else:
-        system = build_scheme("faast", cluster, None, "bench")
+    session.preload({key: DataItem("v0", size_bytes=8 * 1024)})
 
     def op(gen):
-        return sim.run_until_complete(sim.spawn(gen), limit=sim.now + 600_000.0)
+        return session.run(gen, limit_ms=600_000.0).duration_ms
 
     # Load the item into every node's cache.
-    for node_id in cluster.node_ids:
+    for node_id in session.cluster.node_ids:
         op(system.read(node_id, key))
 
     # Non-home reader/writer exercise the interesting paths.
     home = system.ring.home(key) if system_name == "faast" else (
         system.ring_template.home(key))
-    others = [n for n in cluster.node_ids if n != home]
+    others = [n for n in session.cluster.node_ids if n != home]
     reader = others[0] if others else home
     writer = others[-1] if others else home
 
-    start = sim.now
-    op(system.read(reader, key))
-    read_hit_ms = sim.now - start
-
-    start = sim.now
-    op(system.write(writer, key, DataItem("v1", size_bytes=8 * 1024)))
-    write_ms = sim.now - start
+    read_hit_ms = op(system.read(reader, key))
+    write_ms = op(system.write(
+        writer, key, DataItem("v1", size_bytes=8 * 1024)))
     return write_ms, read_hit_ms
 
 

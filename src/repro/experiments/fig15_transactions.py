@@ -9,13 +9,9 @@ Concord cuts average latency by 54 % vs Saga and 20 % vs Beldi.
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
 from repro.metrics import Histogram
-from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 from repro.txn import BeldiRunner, ConcordTxnRuntime, SagaRunner, TXN_APPS
 
@@ -41,15 +37,16 @@ def _concord_body(app, entity):
 
 def _measure_system(system: str, app, clients: int, txns_per_client: int,
                     seed: int) -> float:
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
+    # Saga and Beldi run on a bare cluster (no cache, no coordination).
+    session = Session(nodes=4, cores_per_node=20, seed=seed,
+                      scheme="concord" if system == "concord" else None,
+                      app=app.name)
+    sim, cluster = session.sim, session.cluster
     _preload(cluster, app)
     latencies = Histogram()
 
     if system == "concord":
-        coord = CoordinationService(cluster.network, cluster.config)
-        concord = build_scheme("concord", cluster, coord, app.name)
-        runtime = ConcordTxnRuntime(concord)
+        runtime = ConcordTxnRuntime(session.system)
     elif system == "saga":
         runtime = SagaRunner(cluster)
     else:

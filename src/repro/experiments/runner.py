@@ -14,21 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster import Cluster
 from repro.config import MB, LatencyModel, SimConfig
-from repro.coord import CoordinationService
 from repro.core import ConcordSystem
-from repro.faas import FaasPlatform
-from repro.faults import FaultInjector
 from repro.metrics import AccessStats, Histogram
-from repro.obs import FlightRecorder
-from repro.schemes import build_scheme_map, make_scheduler, scheme_spec
-from repro.sim import Simulator
-from repro.telemetry import MetricsRegistry, Sampler
-from repro.telemetry import export_jsonl as export_metrics_jsonl
-from repro.trace import Tracer, export_chrome
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import preload_storage
+from repro.session import Session
+from repro.workloads import ALL_PROFILES
 
 #: Load levels as target cluster CPU utilization (paper Section V).
 LOAD_LEVELS = {"low": 0.25, "medium": 0.50, "high": 0.70}
@@ -80,8 +70,9 @@ class MixedRunConfig:
     #: Simulated-clock sampling period of the telemetry Sampler.
     metrics_interval_ms: float = 100.0
     #: Protocol-event flight recorder: ``True`` records into
-    #: ``result.obs``, a :class:`~repro.obs.FlightRecorder` instance is
-    #: used as-is (set ``dump_path`` there for fault auto-dumps).
+    #: ``result.obs``, a path string also dumps the ring there (on every
+    #: injected fault and at the end), a
+    #: :class:`~repro.obs.FlightRecorder` instance is used as-is.
     obs: object = None
     #: Optional :class:`~repro.faults.FaultPlan` replayed during the run
     #: (times are absolute simulated time, warmup included).
@@ -91,7 +82,8 @@ class MixedRunConfig:
     shards: Optional[int] = None
     #: Replica-chain depth per shard (leader + followers).
     replication: int = 1
-    #: Optional :class:`~repro.net.RegionTopology` for multi-region runs.
+    #: Optional :class:`~repro.net.RegionTopology` for multi-region runs
+    #: (an int splits the nodes round-robin over that many regions).
     regions: object = None
     #: Extra scheme-specific configuration splatted into the scheme
     #: builder (e.g. ``{"ttl_ms": 200.0}`` for read-through-ttl or
@@ -163,10 +155,16 @@ class MixedRunResult:
         return sum(values) / len(values) if values else float("nan")
 
 
-def _make_schemes(config, cluster, coord):
-    """Build the per-app StorageAPI map through the scheme registry."""
-    return build_scheme_map(
-        config.scheme, cluster, coord, config.apps,
+def _build_session(config: MixedRunConfig, latency: LatencyModel) -> Session:
+    """Assemble ``config``'s deployment; the caller starts its processes."""
+    return Session.build(
+        seed=config.seed, scheme=config.scheme, apps=config.apps,
+        config=SimConfig(num_nodes=config.num_nodes,
+                         cores_per_node=config.cores_per_node,
+                         latency=latency),
+        regions=config.regions, faults=config.faults,
+        trace=config.trace, metrics=config.metrics, obs=config.obs,
+        metrics_interval_ms=config.metrics_interval_ms,
         capacity=config.cache_capacity,
         ofc_shared_capacity=config.ofc_shared_capacity,
         read_only_annotations=config.read_only_annotations,
@@ -177,69 +175,14 @@ def _make_schemes(config, cluster, coord):
     )
 
 
-def _make_tracer(config) -> Optional[Tracer]:
-    if not config.trace:
-        return None
-    return config.trace if isinstance(config.trace, Tracer) else Tracer()
-
-
-def _make_registry(config) -> Optional[MetricsRegistry]:
-    if not config.metrics:
-        return None
-    return (config.metrics if isinstance(config.metrics, MetricsRegistry)
-            else MetricsRegistry())
-
-
-def _make_recorder(config) -> Optional[FlightRecorder]:
-    # isinstance first: an empty FlightRecorder is falsy (len() == 0).
-    if isinstance(config.obs, FlightRecorder):
-        return config.obs
-    return FlightRecorder() if config.obs else None
-
-
 def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     """Execute one measurement run and collect all metrics."""
-    tracer = _make_tracer(config)
-    registry = _make_registry(config)
-    recorder = _make_recorder(config)
-    sim = Simulator(seed=config.seed, tracer=tracer, metrics=registry,
-                    obs=recorder)
-    latency = replace(LatencyModel(), agent_service_ms=config.agent_service_ms)
-    sim_config = SimConfig(
-        num_nodes=config.num_nodes, cores_per_node=config.cores_per_node,
-        latency=latency, regions=config.regions)
-    cluster = Cluster(sim, sim_config)
-    coord = CoordinationService(cluster.network, sim_config)
-    spec = scheme_spec(config.scheme)
-    schemes = _make_schemes(config, cluster, coord)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(config.scheme, schemes))
-    injector = None
-    if config.faults is not None:
-        # Any scheme exposing restart_instance participates in node
-        # recovery (Concord agents, the zoo schemes); dedup by identity
-        # because shared schemes appear once per app.
-        restartable: list = []
-        for scheme in schemes.values():
-            if (hasattr(scheme, "restart_instance")
-                    and not any(scheme is seen for seen in restartable)):
-                restartable.append(scheme)
-        injector = FaultInjector(
-            cluster, config.faults, systems=restartable,
-            platform=platform)
-        injector.start()
-
-    factories = {}
-    deployed = {}
-    for name in config.apps:
-        profile = ALL_PROFILES[name]
-        preload_storage(cluster.storage, profile)
-        scheme = schemes[name]
-        if spec.preload is not None:
-            # Schemes acting as the terminal store prime themselves too.
-            spec.preload(scheme, profile)
-        deployed[name] = platform.deploy(build_app(profile), scheme)
-        factories[name] = entity_inputs_factory(profile, sim)
+    session = _build_session(config, replace(
+        LatencyModel(), agent_service_ms=config.agent_service_ms))
+    sim, cluster = session.sim, session.cluster
+    schemes, deployed = session.schemes, session.deployed
+    if session.injector is not None:
+        session.injector.start()
 
     per_app_rps = config.resolved_total_rps() / len(config.apps)
     result = MixedRunResult(config=config)
@@ -247,7 +190,8 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     def load_phase(duration_ms):
         for name in config.apps:
             sim.spawn(
-                platform.open_loop(name, per_app_rps, duration_ms, factories[name]),
+                session.platform.open_loop(
+                    name, per_app_rps, duration_ms, session.factories[name]),
                 name=f"load:{name}",
             )
 
@@ -290,8 +234,7 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     sim.spawn(sampler(sim), name="sampler", daemon=True)
     # Time-series telemetry sampling starts with the measurement phase,
     # so exported timelines cover measurement + drain (not warmup).
-    metrics_sampler = Sampler(sim, interval_ms=config.metrics_interval_ms)
-    metrics_sampler.start()
+    session.sampler.start()
 
     # Measurement phase.
     load_phase(config.duration_ms)
@@ -307,27 +250,21 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
             completed=histogram.count,
             storage_fraction=app.storage_fraction,
         )
-    # Merge access stats once per distinct scheme object (OFC is shared).
-    seen: list = []
     for name, scheme in schemes.items():
         result.per_app_access[name] = scheme.stats
-        if not any(scheme is merged for merged in seen):
-            seen.append(scheme)
-            result.access.merge(scheme.stats)
+    # Merge access stats once per distinct scheme object (OFC is shared).
+    for scheme in session.distinct_schemes():
+        result.access.merge(scheme.stats)
     result.network_messages = cluster.network.stats.messages - network_before
     result.storage_reads = cluster.storage.stats.reads - storage_reads_before
     result.storage_writes = cluster.storage.stats.writes - storage_writes_before
-    result.tracer = tracer
-    if tracer is not None and isinstance(config.trace, str):
-        export_chrome(tracer, config.trace)
-    metrics_sampler.stop()
-    result.metrics = registry
-    if registry is not None and isinstance(config.metrics, str):
-        export_metrics_jsonl(registry, config.metrics)
-    result.obs = recorder
+    session.close()
+    result.tracer = session.tracer
+    result.metrics = session.metrics
+    result.obs = session.obs
     result.schemes = schemes
-    if injector is not None:
-        result.fault_log = list(injector.applied)
+    if session.injector is not None:
+        result.fault_log = list(session.injector.applied)
     return result
 
 
@@ -344,25 +281,15 @@ def unloaded_latency(
         scheme=scheme, num_nodes=num_nodes, cores_per_node=cores_per_node,
         apps=apps or tuple(ALL_PROFILES), seed=seed,
     )
-    sim = Simulator(seed=seed)
-    sim_config = SimConfig(num_nodes=num_nodes, cores_per_node=cores_per_node)
-    cluster = Cluster(sim, sim_config)
-    coord = CoordinationService(cluster.network, sim_config)
-    schemes = _make_schemes(config, cluster, coord)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(config.scheme, schemes))
+    session = _build_session(config, LatencyModel())
     latencies = {}
     for name in config.apps:
-        profile = ALL_PROFILES[name]
-        preload_storage(cluster.storage, profile)
-        platform.deploy(build_app(profile), schemes[name])
-        factory = entity_inputs_factory(profile, sim)
+        factory = session.factories[name]
         histogram = Histogram()
         for index in range(requests):
-            outcome = sim.run_until_complete(
-                sim.spawn(platform.request(name, factory(index))),
-                limit=sim.now + 600_000.0,
-            )
+            outcome = session.run(
+                session.platform.request(name, factory(index)),
+                limit_ms=600_000.0).value
             histogram.record(outcome.latency_ms)
         latencies[name] = histogram.mean
     return latencies

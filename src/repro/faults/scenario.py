@@ -13,20 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.faas import FaasPlatform
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.obs import FlightRecorder
 from repro.obs import jsonl_dumps as obs_jsonl_dumps
-from repro.schemes import build_scheme, make_scheduler, scheme_spec
-from repro.sim import Simulator
-from repro.telemetry import MetricsRegistry, Sampler, jsonl_dumps
+from repro.session import Session
+from repro.telemetry import jsonl_dumps
 from repro.verify import check_scheme_invariants
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import preload_storage
 
 #: Post-load settle window: failure detection + recovery + drain.
 SETTLE_MS = 4000.0
@@ -61,6 +53,9 @@ class ScenarioOutcome:
     shards_rehomed: int = 0
     #: Leader-loss failovers among those re-homes.
     shard_failovers: int = 0
+    #: (process name, exception type name) per daemon process that died
+    #: during the run, in the order the simulator recorded them.
+    daemon_failures: list = field(default_factory=list)
     #: The scheme instance under test (NOT part of the fingerprint;
     #: experiments read loss counters / staleness logs off it post-run).
     system: object = None
@@ -73,6 +68,7 @@ class ScenarioOutcome:
             tuple(self.applied), tuple(self.violations),
             self.telemetry_jsonl,
             self.shard_table, self.shards_rehomed, self.shard_failovers,
+            tuple(self.daemon_failures),
         )
 
 
@@ -83,14 +79,11 @@ def run_fault_scenario(
     duration_ms: float = 8000.0,
     rps: float = 30.0,
     app_name: str = "SocNet",
-    recovery_lease_ms=None,
     obs=None,
-    shards=None,
-    replication: int = 1,
     regions=None,
     settle_ms: float = SETTLE_MS,
     scheme: str = "concord",
-    scheme_cfg: dict = None,
+    **scheme_cfg,
 ) -> ScenarioOutcome:
     """Run the canonical scenario once and capture its outcome.
 
@@ -99,7 +92,6 @@ def run_fault_scenario(
     for a recorder that also auto-dumps there on every injected fault,
     or a ready :class:`FlightRecorder`.
 
-    ``shards``/``replication`` run the sharded-directory topology;
     ``regions`` accepts a :class:`~repro.net.RegionTopology` or an int
     (nodes split round-robin over that many regions).  ``settle_ms``
     stretches the post-load drain — region partitions need a longer one
@@ -107,61 +99,30 @@ def run_fault_scenario(
     resulting eject/rejoin churn must finish before the checker runs.
 
     ``scheme`` selects any registered scheme (the CI fault matrix races
-    the whole catalogue through here); ``scheme_cfg`` passes extra
-    builder keywords.  Concord-specific outcome fields (recoveries,
-    shard table) stay at their zero defaults for other schemes.
+    the whole catalogue through here); every other keyword goes to its
+    builder — ``shards``/``replication`` run Concord's sharded-directory
+    topology, ``recovery_lease_ms`` its lease-bounded recovery.
+    Concord-specific outcome fields (recoveries, shard table) stay at
+    their zero defaults for other schemes.
     """
-    if isinstance(regions, int):
-        from repro.net import RegionTopology
-
-        regions = RegionTopology.even(
-            [f"node{i}" for i in range(num_nodes)],
-            regions=tuple(f"region{i}" for i in range(regions)))
-    # isinstance first: an empty FlightRecorder is falsy (len() == 0).
-    recorder = None
-    if isinstance(obs, FlightRecorder):
-        recorder = obs
-    elif isinstance(obs, str):
-        recorder = FlightRecorder(dump_path=obs)
-    elif obs:
-        recorder = FlightRecorder()
-    registry = MetricsRegistry()
-    sim = Simulator(seed=seed, metrics=registry, obs=recorder)
-    config = SimConfig(
-        num_nodes=num_nodes, cores_per_node=2,
-        # Fast detection keeps recovery inside the settle window.
-        heartbeat_interval_ms=200.0, heartbeat_misses=3,
-        regions=regions,
-    )
-    cluster = Cluster(sim, config)
-    coord = CoordinationService(cluster.network, config)
-    profile = ALL_PROFILES[app_name]
-    system = build_scheme(
-        scheme, cluster, coord, app_name,
-        recovery_lease_ms=recovery_lease_ms,
-        shards=shards, replication=replication,
-        **(scheme_cfg or {}),
-    )
-    preload_storage(cluster.storage, profile)
-    spec = scheme_spec(scheme)
-    if spec.preload is not None:
-        # Schemes acting as the terminal store prime themselves too.
-        spec.preload(system, profile)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(scheme, {app_name: system}))
-    app = platform.deploy(build_app(profile), system)
-    factory = entity_inputs_factory(profile, sim)
-
-    restartable = (system,) if hasattr(system, "restart_instance") else ()
-    injector = FaultInjector(
-        cluster, plan, systems=restartable, platform=platform)
-    injector.start()
-    sampler = Sampler(sim, interval_ms=100.0)
-    sampler.start()
-    sim.spawn(platform.open_loop(app_name, rps, duration_ms, factory),
-              name="load")
+    session = Session(
+        seed=seed, scheme=scheme, apps=(app_name,),
+        config=SimConfig(
+            num_nodes=num_nodes, cores_per_node=2,
+            # Fast detection keeps recovery inside the settle window.
+            heartbeat_interval_ms=200.0, heartbeat_misses=3,
+        ),
+        regions=regions, faults=plan, metrics=True, obs=obs, **scheme_cfg)
+    sim = session.sim
+    system = session.schemes[app_name]
+    app = session.deployed[app_name]
+    sim.spawn(session.platform.open_loop(
+        app_name, rps, duration_ms, session.factories[app_name]),
+        name="load")
     sim.run(until=duration_ms + settle_ms)
-    sampler.stop()
+    # Not session.close(): an obs path keeps the last fault auto-dump,
+    # which a close-time export of the whole ring would overwrite.
+    session.sampler.stop()
 
     manager = getattr(system, "shard_manager", None)
     shard_table = ()
@@ -171,21 +132,24 @@ def run_fault_scenario(
     recoveries = (controller.recoveries_completed
                   if controller is not None else 0)
 
+    recorder = session.obs
     return ScenarioOutcome(
         plan=plan,
         seed=seed,
         completed=app.requests_completed,
         failed=app.requests_failed,
         rescheduled=app.requests_rescheduled,
-        failures_detected=list(coord.failures_detected),
+        failures_detected=list(session.coord.failures_detected),
         recoveries_completed=recoveries,
-        applied=list(injector.applied),
-        violations=check_scheme_invariants(system, cluster),
-        telemetry_jsonl=jsonl_dumps(registry),
+        applied=list(session.injector.applied),
+        violations=check_scheme_invariants(system, session.cluster),
+        telemetry_jsonl=jsonl_dumps(session.metrics),
         obs_jsonl=obs_jsonl_dumps(recorder) if recorder is not None else "",
         shard_table=shard_table,
         shards_rehomed=manager.rehomes_total if manager is not None else 0,
         shard_failovers=(manager.failovers_total
                         if manager is not None else 0),
+        daemon_failures=[(process.name, type(exc).__name__)
+                         for process, exc in sim.daemon_failures],
         system=system,
     )

@@ -6,7 +6,7 @@ bounded ring buffer with a zero-cost Null sink, dumped to byte-
 deterministic JSONL (:mod:`repro.obs.export`), and interrogated through
 merged timelines (:mod:`repro.obs.timeline`), causal explanations
 (:mod:`repro.obs.explain`) and the ``repro-inspect`` CLI
-(:mod:`repro.obs.cli`).  Simulator self-profiling lives in
+(:mod:`repro.obs.cli`).  Event-wheel gauges live in
 :mod:`repro.obs.selfprof`.
 """
 
@@ -24,7 +24,7 @@ from repro.obs.recorder import (
     NullRecorder,
     ProtoEvent,
 )
-from repro.obs.selfprof import SelfProfiler, install_wheel_gauges
+from repro.obs.selfprof import install_wheel_gauges
 from repro.obs.timeline import merge_timeline, render_html, render_text
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "explain_key",
     "diagnose",
     "find_violations",
-    "SelfProfiler",
     "install_wheel_gauges",
 ]

@@ -1,36 +1,17 @@
-"""Simulator self-profiling: wheel gauges + per-layer wall attribution.
+"""Simulator self-observation: event-wheel gauges.
 
-Two complementary views of where the simulator itself spends its effort:
-
-* :func:`install_wheel_gauges` exposes the event wheel's occupancy and
-  lag as ordinary pull-callback gauges on the run's MetricsRegistry —
-  live entry count, current-instant lane depth, occupied future slots,
-  freelist fill, and the horizon to the next scheduled entry.  These
-  read only simulator state at sampling instants, so they are fully
-  deterministic and safe to leave on in replay runs.
-
-* :class:`SelfProfiler` is an opt-in *profiled run loop*: it dispatches
-  schedule entries exactly like :meth:`Simulator.run` (same pop order,
-  same clock advancement — simulated behaviour is unchanged) while
-  attributing the wall time of each dispatch to the repo layer whose
-  code resumes: the package of the process generator being stepped, or
-  of the callback/event owner.  This answers "where does wall time go"
-  for the ROADMAP perf work without cProfile's overhead or its
-  per-function granularity.  Wall readings are measurement, not
-  simulation — they vary run to run and are deliberately kept out of
-  metric exports and flight-recorder dumps (the determinism contract,
-  DESIGN.md §13).
+:func:`install_wheel_gauges` exposes the event wheel's occupancy and lag
+as ordinary pull-callback gauges on the run's MetricsRegistry — live
+entry count, current-instant lane depth, occupied future slots, freelist
+fill, and the horizon to the next scheduled entry.  These read only
+simulator state at sampling instants, so they are fully deterministic
+and safe to leave on in replay runs.  Per-layer wall time is measured
+outside the simulator, by ``perfbench/layers.py``.
 """
 
 from __future__ import annotations
 
-# Wall-clock self-measurement only, never simulation time.
-import time  # noqa: DET01
-from typing import Optional
-
-from repro.sim.profiled import profiled_run
-
-__all__ = ["SelfProfiler", "install_wheel_gauges", "render_profile"]
+__all__ = ["install_wheel_gauges"]
 
 _INF = float("inf")
 
@@ -77,91 +58,3 @@ def install_wheel_gauges(sim) -> None:
         "Entries ever scheduled (events and raw callbacks).",
         labelnames=(),
     ).set_callback(lambda: sim.schedule_count)
-
-
-def _layer_from_path(filename: str) -> str:
-    """Map a code filename to its repo layer (``repro/<layer>/...``)."""
-    marker = "repro/"
-    pos = filename.replace("\\", "/").rfind(marker)
-    if pos < 0:
-        return "external"
-    rest = filename.replace("\\", "/")[pos + len(marker):]
-    segment = rest.split("/", 1)[0]
-    return segment[:-3] if segment.endswith(".py") else segment
-
-
-def _layer_from_module(module: str) -> str:
-    parts = module.split(".")
-    if parts[0] != "repro":
-        return "external"
-    return parts[1] if len(parts) > 1 else "repro"
-
-
-def _layer_of(event, fn) -> str:
-    """Attribute one schedule entry to a repo layer before dispatch."""
-    if fn is not None:
-        owner = getattr(fn, "__self__", None)
-        generator = getattr(owner, "generator", None)
-        code = getattr(generator, "gi_code", None)
-        if code is not None:
-            return _layer_from_path(code.co_filename)
-        module = getattr(fn, "__module__", None)
-        if module:
-            return _layer_from_module(module)
-        return "external"
-    return _layer_from_module(type(event).__module__)
-
-
-class SelfProfiler:
-    """Wall-time attribution over a profiled run loop.
-
-    ``profiler.run(sim, until=...)`` is a drop-in for ``sim.run`` with
-    per-dispatch wall measurement; accumulated attribution lands in
-    ``wall_s`` / ``dispatches`` (layer-keyed dicts).
-    """
-
-    def __init__(self):
-        self.wall_s: dict = {}
-        self.dispatches: dict = {}
-
-    def run(self, sim, until: Optional[float] = None) -> None:
-        """Dispatch like ``Simulator.run`` while attributing wall time.
-
-        Pop order, clock advancement and dispatch semantics match the
-        plain run loop entry for entry, so the simulated outcome is
-        identical; only the measurement differs.
-        """
-        wall_s = self.wall_s
-        dispatches = self.dispatches
-
-        def observe(layer: str, spent: float) -> None:
-            wall_s[layer] = wall_s.get(layer, 0.0) + spent
-            dispatches[layer] = dispatches.get(layer, 0) + 1
-
-        profiled_run(sim, time.perf_counter, _layer_of, observe, until=until)
-
-    def report(self) -> list:
-        """Attribution rows sorted by wall share, descending."""
-        total = sum(self.wall_s.values()) or 1.0
-        rows = [{
-            "layer": layer,
-            "wall_s": self.wall_s[layer],
-            "share": self.wall_s[layer] / total,
-            "dispatches": self.dispatches.get(layer, 0),
-        } for layer in self.wall_s]
-        rows.sort(key=lambda row: (-row["wall_s"], row["layer"]))
-        return rows
-
-
-def render_profile(profiler: SelfProfiler) -> str:
-    """Text table of per-layer wall attribution."""
-    rows = profiler.report()
-    total_wall = sum(row["wall_s"] for row in rows)
-    total_disp = sum(row["dispatches"] for row in rows)
-    lines = [f"self-profile: {total_disp} dispatches, "
-             f"{total_wall * 1e3:.1f} ms wall",
-             f"{'layer':<12} {'wall_ms':>10} {'share':>7} {'dispatches':>11}"]
-    for row in rows:
-        lines.append(f"{row['layer']:<12} {row['wall_s'] * 1e3:>10.2f} "
-                     f"{row['share'] * 100:>6.1f}% {row['dispatches']:>11}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
-"""One-object facade over the simulator / cluster / scheme wiring.
+"""The one builder of simulated deployments.
 
-The explicit five-object setup (Simulator, Cluster, CoordinationService,
-scheme system, drive-to-completion helper) stays fully supported — every
-piece remains public — but most scripts want exactly one shape::
+Every experiment, bench point and fault scenario in :mod:`repro` gets its
+simulator, cluster, coordination service and caching schemes from
+:class:`Session`; nothing else constructs them.  The explicit wiring
+(Simulator, Cluster, CoordinationService, ``build_scheme``) stays public
+for scripts that want it, but most want exactly one shape::
 
     from repro.session import Session
     from repro.storage import DataItem
@@ -13,7 +15,13 @@ piece remains public — but most scripts want exactly one shape::
         s.write("node2", "k", DataItem("v1", 256))
 
 Schemes are constructed through the :mod:`repro.schemes` registry, so any
-registered name works (``concord``, ``faast``, ``ofc``, ``nocache``, ...).
+registered name works (``concord``, ``faast``, ``ofc``, ``nocache``, ...);
+``scheme=None`` builds a bare cluster with no coordination service.
+``apps=("SocNet", ...)`` deploys those workload profiles on one
+:class:`~repro.faas.FaasPlatform` instead, with one scheme instance per
+app (a single one for shared schemes), and ``faults=`` replays a
+:class:`~repro.faults.FaultPlan` against the deployment.
+
 Passing ``trace=True`` attaches a :class:`~repro.trace.Tracer`; passing a
 path string additionally exports a Chrome trace there when the session
 closes.  ``metrics=`` works the same way for time-series telemetry: pass
@@ -25,26 +33,41 @@ follows the same contract for the protocol-event flight recorder: pass
 events, or a path string to also dump the ring as JSONL on close — and,
 through the recorder's own auto-dump hook, the moment a fault is
 injected or the coherence checker flags a violation.
+
+Construction contract: building a session only constructs (the
+processes that constructors spawn themselves, such as the coordination
+heartbeat or a scheme's flush daemons, come with them).
+``Session(...)`` then starts the fault injector and the telemetry
+sampler; :meth:`Session.build` leaves both to the caller, for
+sites that start them at their own moment (the mixed-workload runner
+samples telemetry only after warm-up).  Spawn order sets the order of
+same-instant events, so moving a start changes the run.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.coord import CoordinationService
+from repro.faas import FaasPlatform
 from repro.obs import FlightRecorder
 from repro.obs import export_jsonl as _obs_export_jsonl
-from repro.schemes import build_scheme
+from repro.schemes import build_scheme, build_scheme_map, make_scheduler, \
+    scheme_spec
 from repro.sim import Simulator
 from repro.telemetry import MetricsRegistry, Sampler
 from repro.telemetry import export_csv as _metrics_export_csv
 from repro.telemetry import export_jsonl as _metrics_export_jsonl
 from repro.telemetry import export_prometheus as _metrics_export_prometheus
 from repro.trace import Tracer, export_chrome, export_jsonl
+from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
+from repro.workloads.profiles import preload_storage
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultInjector
 
 __all__ = ["RunResult", "Session"]
 
@@ -70,63 +93,50 @@ class RunResult:
         return self.finished_ms - self.started_ms
 
 
-#: Parameter order of the pre-v2 positional signature, oldest first —
-#: how bare positional arguments are interpreted on the deprecated path.
-_LEGACY_POSITIONAL = (
-    "nodes", "seed", "scheme", "app", "cores_per_node",
-    "trace", "metrics", "metrics_interval_ms", "config",
-)
-
-
 class Session:
-    """A ready-to-use simulated cluster running one caching scheme.
+    """A ready-to-use simulated deployment.
 
     All configuration is keyword-only::
 
         with Session(nodes=4, seed=42, scheme="concord") as s:
             ...
 
-    Positional configuration (the pre-v2 signature) still works but emits
-    a :class:`DeprecationWarning` and will be removed in a later release.
+    Keywords: ``nodes``, ``cores_per_node``, ``regions`` (a
+    :class:`~repro.net.RegionTopology`, or an int to split the nodes
+    round-robin over that many regions) and ``config`` (a full
+    :class:`~repro.config.SimConfig`, which then supplies the node and
+    core counts) shape the cluster; ``seed`` seeds the simulator;
+    ``scheme`` and ``app`` name the scheme instance (``system``), or
+    ``apps`` names the workload profiles deployed on ``platform``;
+    ``faults`` is a fault plan; ``trace``/``metrics``/``obs`` and
+    ``metrics_interval_ms`` attach the probes; every other keyword is
+    passed to the scheme builder.
     """
 
-    def __init__(self, *legacy_args, **kwargs):
-        if legacy_args:
-            warnings.warn(
-                "positional Session(...) configuration is deprecated; "
-                "pass every setting as a keyword argument "
-                "(e.g. Session(nodes=4, seed=42))",
-                DeprecationWarning, stacklevel=2)
-            if len(legacy_args) > len(_LEGACY_POSITIONAL):
-                raise TypeError(
-                    f"Session() takes at most {len(_LEGACY_POSITIONAL)} "
-                    f"positional arguments ({len(legacy_args)} given)")
-            for name, value in zip(_LEGACY_POSITIONAL, legacy_args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"Session() got multiple values for argument {name!r}")
-                kwargs[name] = value
-        nodes = kwargs.pop("nodes", 4)
-        seed = kwargs.pop("seed", 42)
-        scheme = kwargs.pop("scheme", "concord")
-        app = kwargs.pop("app", "app")
-        cores_per_node = kwargs.pop("cores_per_node", 8)
-        trace = kwargs.pop("trace", None)
-        metrics = kwargs.pop("metrics", None)
-        obs = kwargs.pop("obs", None)
-        metrics_interval_ms = kwargs.pop("metrics_interval_ms", 100.0)
-        regions = kwargs.pop("regions", None)
-        config: Optional[SimConfig] = kwargs.pop("config", None)
-        scheme_cfg = kwargs
-        if regions is not None and config is not None:
-            raise TypeError(
-                "pass regions= via the SimConfig when config= is given")
-        if isinstance(regions, int):
-            from repro.net import RegionTopology
+    def __init__(self, **settings):
+        self._assemble(**settings)
+        if self.injector is not None:
+            self.injector.start()
+        self.sampler.start()
 
-            regions = RegionTopology.even(
-                [f"node{i}" for i in range(nodes)],
-                regions=tuple(f"region{i}" for i in range(regions)))
+    @classmethod
+    def build(cls, **settings) -> "Session":
+        """Assemble like ``Session(...)`` but start nothing.
+
+        The caller starts ``injector`` and ``sampler`` (when it wants
+        them) at the moment its run needs them.
+        """
+        session = cls.__new__(cls)
+        session._assemble(**settings)
+        return session
+
+    def _assemble(self, *, nodes: int = 4, seed: int = 42,
+                  scheme: Optional[str] = "concord", app: str = "app",
+                  apps: Optional[tuple] = None, cores_per_node: int = 8,
+                  trace=None, metrics=None, obs=None,
+                  metrics_interval_ms: float = 100.0, regions=None,
+                  config: Optional[SimConfig] = None, faults=None,
+                  **scheme_cfg) -> None:
         self._trace = trace
         tracer = None
         if trace:
@@ -151,18 +161,82 @@ class Session:
         self.obs: Optional[FlightRecorder] = recorder
         self.sim = Simulator(seed=seed, tracer=tracer, metrics=registry,
                              obs=recorder)
-        self.config = config or SimConfig(
-            num_nodes=nodes, cores_per_node=cores_per_node, regions=regions)
-        self.cluster = Cluster(self.sim, self.config)
-        self.coord = CoordinationService(self.cluster.network, self.config)
+        config = config or SimConfig(
+            num_nodes=nodes, cores_per_node=cores_per_node)
+        if isinstance(regions, int):
+            from repro.net import RegionTopology
+
+            regions = RegionTopology.even(
+                [f"node{i}" for i in range(config.num_nodes)],
+                regions=tuple(f"region{i}" for i in range(regions)))
+        if regions is not None:
+            config = replace(config, regions=regions)
+        self.config = config
+        self.cluster = Cluster(self.sim, config)
         self.scheme = scheme
         self.app = app
-        #: The scheme instance (a StorageAPI) built through the registry.
-        self.system = build_scheme(
-            scheme, self.cluster, self.coord, app=app, **scheme_cfg)
+        #: None for a bare cluster (``scheme=None``).
+        self.coord: Optional[CoordinationService] = None
+        #: The single-app scheme instance (a StorageAPI); None when the
+        #: session deploys ``apps`` or is a bare cluster.
+        self.system = None
+        #: app -> the StorageAPI serving it (shared schemes map every app
+        #: to the same instance).
+        self.schemes: dict = {}
+        #: The FaaS platform ``apps`` are deployed on (None otherwise),
+        #: with each app's DeployedApp and per-request inputs factory.
+        self.platform: Optional[FaasPlatform] = None
+        self.deployed: dict = {}
+        self.factories: dict = {}
+        if scheme is not None:
+            self.coord = CoordinationService(self.cluster.network, config)
+            if apps is None:
+                self.system = build_scheme(
+                    scheme, self.cluster, self.coord, app=app, **scheme_cfg)
+                self.schemes = {app: self.system}
+            else:
+                self._deploy(scheme, apps, scheme_cfg)
+        #: Replays ``faults``; restarted nodes rejoin every distinct
+        #: scheme that supports it.
+        self.injector: Optional["FaultInjector"] = None
+        if faults is not None:
+            # Imported here: repro.faults' scenario runner builds through
+            # this module.
+            from repro.faults.injector import FaultInjector
+
+            self.injector = FaultInjector(
+                self.cluster, faults,
+                systems=[system for system in self.distinct_schemes()
+                         if hasattr(system, "restart_instance")],
+                platform=self.platform)
         #: Fixed-interval telemetry sampler (inert when metrics is off).
         self.sampler = Sampler(self.sim, interval_ms=metrics_interval_ms)
-        self.sampler.start()
+
+    def _deploy(self, scheme: str, apps: tuple, scheme_cfg: dict) -> None:
+        """Build the per-app scheme map and deploy ``apps`` on a platform."""
+        self.schemes = build_scheme_map(
+            scheme, self.cluster, self.coord, apps, **scheme_cfg)
+        self.platform = FaasPlatform(
+            self.cluster, scheduler=make_scheduler(scheme, self.schemes))
+        preload = scheme_spec(scheme).preload
+        for name in apps:
+            profile = ALL_PROFILES[name]
+            preload_storage(self.cluster.storage, profile)
+            system = self.schemes[name]
+            if preload is not None:
+                # Schemes acting as the terminal store prime themselves too.
+                preload(system, profile)
+            self.deployed[name] = self.platform.deploy(
+                build_app(profile), system)
+            self.factories[name] = entity_inputs_factory(profile, self.sim)
+
+    def distinct_schemes(self) -> list:
+        """Each scheme instance once, in app order (OFC is shared)."""
+        distinct: list = []
+        for system in self.schemes.values():
+            if not any(system is seen for seen in distinct):
+                distinct.append(system)
+        return distinct
 
     # -- data ----------------------------------------------------------------
     @property

@@ -101,6 +101,35 @@ class TestTinyRuns:
         assert set(latencies) == {"TrainT"}
         assert latencies["TrainT"] > 0
 
+    def test_unloaded_latency_applies_the_scheme_preload_hook(
+            self, monkeypatch):
+        # Regression: unloaded_latency skipped the preload hook that
+        # run_mixed_workload applies, so concord-mem was measured against
+        # an unprimed memory tier (SocNet 254.7 ms instead of 173.3 ms).
+        from dataclasses import replace
+
+        from repro import schemes
+
+        primed = unloaded_latency("concord-mem", apps=("SocNet",),
+                                  requests=3)
+        spec = schemes.scheme_spec("concord-mem")
+        calls = []
+
+        def recording_preload(scheme, profile):
+            calls.append(profile.name)
+            spec.preload(scheme, profile)
+
+        monkeypatch.setitem(schemes._REGISTRY, "concord-mem",
+                            replace(spec, preload=recording_preload))
+        assert unloaded_latency("concord-mem", apps=("SocNet",),
+                                requests=3) == primed
+        assert calls == ["SocNet"]
+        monkeypatch.setitem(schemes._REGISTRY, "concord-mem",
+                            replace(spec, preload=None))
+        unprimed = unloaded_latency("concord-mem", apps=("SocNet",),
+                                    requests=3)
+        assert primed["SocNet"] < unprimed["SocNet"]
+
 
 class TestCheapExperiments:
     def test_fig03_rows(self):

@@ -1,12 +1,8 @@
-"""Self-profiling: profiled run equivalence, attribution, wheel gauges."""
+"""Event-wheel gauges on the telemetry registry."""
 
-import pytest
-
-from repro.obs.selfprof import SelfProfiler, install_wheel_gauges, \
-    render_profile
+from repro.obs.selfprof import install_wheel_gauges
 from repro.session import Session
-from repro.sim import SimulationError, Simulator
-from repro.sim.profiled import profiled_run
+from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.telemetry import jsonl_dumps
 
@@ -20,60 +16,6 @@ def _loaded_session():
             session.system.write("node0", f"k{i}", DataItem(f"v{i}", 64)))
         session.sim.spawn(session.system.read("node1", f"k{i}"))
     return session
-
-
-class TestProfiledRunEquivalence:
-    def test_same_outcome_as_plain_run(self):
-        plain = _loaded_session()
-        plain.sim.run(until=800.0)
-        plain.close()
-
-        profiled = _loaded_session()
-        profiler = SelfProfiler()
-        profiler.run(profiled.sim, until=800.0)
-        profiled.close()
-
-        assert profiled.sim.now == plain.sim.now == 800.0
-        # Simulated behaviour is byte-identical: same telemetry export.
-        assert jsonl_dumps(profiled.metrics) == jsonl_dumps(plain.metrics)
-
-    def test_attribution_populated(self):
-        session = _loaded_session()
-        profiler = SelfProfiler()
-        profiler.run(session.sim, until=800.0)
-        session.close()
-        assert profiler.wall_s and profiler.dispatches
-        assert set(profiler.wall_s) == set(profiler.dispatches)
-        assert all(spent >= 0.0 for spent in profiler.wall_s.values())
-        assert sum(profiler.dispatches.values()) > 10
-        # The protocol work must attribute to real repo layers.
-        assert set(profiler.wall_s) & {
-            "core", "net", "sim", "coord", "caching", "cluster", "telemetry"}
-
-    def test_report_and_render(self):
-        session = _loaded_session()
-        profiler = SelfProfiler()
-        profiler.run(session.sim, until=400.0)
-        session.close()
-        rows = profiler.report()
-        assert rows == sorted(rows, key=lambda r: (-r["wall_s"], r["layer"]))
-        assert sum(row["share"] for row in rows) == pytest.approx(1.0)
-        text = render_profile(profiler)
-        assert text.startswith("self-profile:")
-        assert rows[0]["layer"] in text
-
-    def test_until_in_the_past_rejected(self):
-        sim = Simulator(seed=0)
-        sim.run(until=10.0)
-        with pytest.raises(SimulationError):
-            profiled_run(sim, lambda: 0.0, lambda e, f: "x",
-                         lambda layer, spent: None, until=5.0)
-
-    def test_drained_run_advances_to_until(self):
-        sim = Simulator(seed=0)
-        profiled_run(sim, lambda: 0.0, lambda e, f: "x",
-                     lambda layer, spent: None, until=25.0)
-        assert sim.now == 25.0
 
 
 class TestWheelGauges:
